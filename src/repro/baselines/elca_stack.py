@@ -49,10 +49,10 @@ def elca_stack(index: GKSIndex, query: Query) -> list[Dewey]:
     stack: list[_Frame] = []
     results: list[Dewey] = []
 
-    for entry in merged:
-        _align_stack(stack, entry.dewey, keyword_count, results)
-        stack[-1].total[entry.keyword] = True
-        stack[-1].available[entry.keyword] = True
+    for dewey, keyword in zip(merged.deweys, merged.keywords):
+        _align_stack(stack, dewey, keyword_count, results)
+        stack[-1].total[keyword] = True
+        stack[-1].available[keyword] = True
 
     while stack:
         _pop(stack, results)

@@ -55,8 +55,9 @@ def slca_scan(index: GKSIndex, query: Query) -> list[Dewey]:
 
     last_seen: dict[int, Dewey] = {}
     candidates: list[Dewey] = []
-    for entry in merge_posting_lists(lists):
-        last_seen[entry.keyword] = entry.dewey
+    merged = merge_posting_lists(lists)
+    for dewey, keyword in zip(merged.deweys, merged.keywords):
+        last_seen[keyword] = dewey
         if len(last_seen) == len(lists):
             lca: Dewey | None = None
             for dewey in last_seen.values():

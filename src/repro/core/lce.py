@@ -29,9 +29,8 @@ from dataclasses import dataclass, field
 from repro.core.budget import SearchBudget
 from repro.core.lcp import LCPList
 from repro.index.builder import GKSIndex
-from repro.index.postings import MergedEntry
-from repro.xmltree.dewey import (Dewey, ancestors_of, is_ancestor_or_self,
-                                 parent_of)
+from repro.index.postings import MergedList
+from repro.xmltree.dewey import Dewey, is_ancestor_or_self, parent_of
 
 
 @dataclass
@@ -119,7 +118,7 @@ def _lift_attribute(dewey: Dewey, index: GKSIndex) -> Dewey:
 
 
 def _independent_witness(candidate: Dewey, left: int, right: int,
-                         sl: list[MergedEntry],
+                         deweys: list[Dewey],
                          index: GKSIndex) -> Dewey | None:
     """Smallest-Dewey independent witness for *candidate* in block [l, r].
 
@@ -129,8 +128,7 @@ def _independent_witness(candidate: Dewey, left: int, right: int,
     left boundary so the smallest qualifying Dewey id is returned, which is
     also what the eviction rule needs.
     """
-    for position in range(left, right + 1):
-        occurrence = sl[position].dewey
+    for occurrence in deweys[left:right + 1]:
         if not is_ancestor_or_self(candidate, occurrence):
             continue
         anchor = _lift_attribute(occurrence, index)
@@ -139,15 +137,17 @@ def _independent_witness(candidate: Dewey, left: int, right: int,
     return None
 
 
-def discover_lce(lcp: LCPList, sl: list[MergedEntry],
+def discover_lce(lcp: LCPList, sl: MergedList,
                  index: GKSIndex,
                  budget: SearchBudget | None = None) -> LCEResult:
     """Map LCP entries to LCE nodes with witness maintenance.
 
-    With a budget the walk polls the deadline between LCP entries and
-    stops early when it trips; already-discovered LCE nodes are kept.
+    Witnesses are read from the Dewey column of *sl*.  With a budget
+    the walk polls the deadline between LCP entries and stops early
+    when it trips; already-discovered LCE nodes are kept.
     """
     result = LCEResult()
+    deweys = sl.deweys
     total = len(lcp.entries)
 
     for position, (dewey, entry) in enumerate(lcp.entries.items()):
@@ -170,7 +170,8 @@ def discover_lce(lcp: LCPList, sl: list[MergedEntry],
                 # the entity lost its witness earlier; a new block can
                 # re-establish it ("e can come back in LCE list", §4.2)
                 info.witness = _independent_witness(
-                    entity, entry.first_left, entry.first_right, sl, index)
+                    entity, entry.first_left, entry.first_right, deweys,
+                    index)
                 info.blocks += 1
                 info.estimated_keywords += entry.counter
                 info.candidates.append(candidate)
@@ -183,7 +184,8 @@ def discover_lce(lcp: LCPList, sl: list[MergedEntry],
                 # First block for this entity: s + counter − 1 keywords
                 # (Example 4: did.0.1 enters with 2, did.0.1.1.0 with 3).
                 witness = _independent_witness(
-                    entity, entry.first_left, entry.first_right, sl, index)
+                    entity, entry.first_left, entry.first_right, deweys,
+                    index)
                 info = LCEInfo(dewey=entity, witness=witness,
                                estimated_keywords=lcp.s - 1 + entry.counter,
                                candidates=[candidate])
@@ -194,7 +196,7 @@ def discover_lce(lcp: LCPList, sl: list[MergedEntry],
             info.blocks += 1
             info.estimated_keywords += entry.counter
             info.candidates.append(candidate)
-        _maintain_ancestors(entity, entry, sl, index, result)
+        _maintain_ancestors(entity, entry, deweys, index, result)
 
     # Entities that never obtained an independent witness are not LCE
     # nodes by Def 2.2.1: their mapped LCP candidates fall back into the
@@ -205,7 +207,7 @@ def discover_lce(lcp: LCPList, sl: list[MergedEntry],
     return result
 
 
-def _maintain_ancestors(entity: Dewey, entry, sl: list[MergedEntry],
+def _maintain_ancestors(entity: Dewey, entry, deweys: list[Dewey],
                         index: GKSIndex, result: LCEResult) -> None:
     """Witness eviction + statistics update for entity ancestors (Fig. 6).
 
@@ -217,16 +219,18 @@ def _maintain_ancestors(entity: Dewey, entry, sl: list[MergedEntry],
     the ancestor's subtree (Example 4: did.0.1 grows to 4 as did.0.1.1.0's
     two blocks are filed).
     """
-    for ancestor in ancestors_of(entity):
-        info = result.lce.get(ancestor)
+    lce = result.lce
+    for length in range(len(entity) - 1, 0, -1):
+        ancestor = entity[:length]
+        info = lce.get(ancestor)
         if info is None:
             continue
         if info.witness is not None and is_ancestor_or_self(
                 entity, info.witness):
             replacement = _independent_witness(
-                ancestor, entry.first_left, entry.first_right, sl, index)
+                ancestor, entry.first_left, entry.first_right, deweys, index)
             if replacement is None:
-                result.rejected[ancestor] = result.lce.pop(ancestor)
+                result.rejected[ancestor] = lce.pop(ancestor)
                 continue
             info.witness = replacement
         # the ancestor survives: its subtree also covers this entry's blocks

@@ -1,6 +1,8 @@
 """Longest-Common-Prefix (LCP) list generation (paper §4.1, Figs 4–6).
 
-The merged list ``SL`` is swept once with a sliding window ``[l, r]``:
+The merged list ``SL`` (a :class:`~repro.index.postings.MergedList`: a
+column of Dewey ids and a parallel column of keyword indexes) is swept
+once with a sliding window ``[l, r]``:
 
 * ``r`` grows until the window holds ``s`` *unique* query keywords — the
   paper's ``sU(l, r, s)`` test (Fig. 5);
@@ -24,11 +26,11 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.core.budget import SearchBudget
-from repro.index.postings import MergedEntry
-from repro.xmltree.dewey import Dewey, common_prefix
+from repro.index.postings import MergedList
+from repro.xmltree.dewey import Dewey
 
 
-@dataclass
+@dataclass(slots=True)
 class LCPEntry:
     """One candidate GKS node: an LCP-list row plus its first block."""
 
@@ -45,18 +47,6 @@ class LCPList:
     s: int
     entries: dict[Dewey, LCPEntry] = field(default_factory=dict)
 
-    def file(self, dewey: Dewey, left: int, right: int) -> tuple[LCPEntry,
-                                                                 bool]:
-        """Record one block prefix; returns ``(entry, created)``."""
-        entry = self.entries.get(dewey)
-        if entry is None:
-            entry = LCPEntry(dewey=dewey, counter=1, first_left=left,
-                             first_right=right)
-            self.entries[dewey] = entry
-            return entry, True
-        entry.counter += 1
-        return entry, False
-
     def estimated_keyword_count(self, dewey: Dewey) -> int:
         """``s + counter − 1`` for one entry (paper §4.1)."""
         return self.s + self.entries[dewey].counter - 1
@@ -72,34 +62,44 @@ class LCPList:
         return list(self.entries)
 
 
-def iter_sliding_blocks(sl: list[MergedEntry],
+def iter_sliding_blocks(sl: MergedList,
                         s: int) -> Iterator[tuple[int, int, Dewey]]:
     """Lazily generate the minimal ``s``-unique blocks of the sweep.
 
-    The generator form lets a :class:`SearchBudget` interrupt the sweep
-    between blocks without computing the tail.
+    The window reads the two columns of ``SL`` directly and computes
+    each block's common prefix inline (Lemma 6: first and last Dewey id
+    only).  The generator form lets a :class:`SearchBudget` interrupt
+    the sweep between blocks without computing the tail.
     """
-    counts: dict[int, int] = {}
+    deweys = sl.deweys
+    keywords = sl.keywords
+    size = len(deweys)
+    counts = [0] * (max(keywords) + 1) if keywords else []
     unique = 0
     right = -1
-    for left in range(len(sl)):
-        while unique < s and right + 1 < len(sl):
+    for left in range(size):
+        while unique < s and right + 1 < size:
             right += 1
-            keyword = sl[right].keyword
-            counts[keyword] = counts.get(keyword, 0) + 1
+            keyword = keywords[right]
+            counts[keyword] += 1
             if counts[keyword] == 1:
                 unique += 1
         if unique < s:
             break  # no block with s unique keywords starts at or after left
-        yield (left, right,
-               common_prefix(sl[left].dewey, sl[right].dewey))
-        keyword = sl[left].keyword
+        first = deweys[left]
+        last = deweys[right]
+        length = 0
+        limit = min(len(first), len(last))
+        while length < limit and first[length] == last[length]:
+            length += 1
+        yield left, right, first[:length]
+        keyword = keywords[left]
         counts[keyword] -= 1
         if counts[keyword] == 0:
             unique -= 1
 
 
-def sliding_blocks(sl: list[MergedEntry],
+def sliding_blocks(sl: MergedList,
                    s: int) -> list[tuple[int, int, Dewey]]:
     """All minimal ``s``-unique blocks as ``(l, r, prefix)`` triples.
 
@@ -109,7 +109,7 @@ def sliding_blocks(sl: list[MergedEntry],
     return list(iter_sliding_blocks(sl, s))
 
 
-def compute_lcp_list(sl: list[MergedEntry], s: int,
+def compute_lcp_list(sl: MergedList, s: int,
                      budget: SearchBudget | None = None) -> LCPList:
     """Sweep ``SL`` and build the LCP list (the candidate GKS nodes).
 
@@ -117,10 +117,15 @@ def compute_lcp_list(sl: list[MergedEntry], s: int,
     early when it trips, leaving a coherent partial LCP list.
     """
     lcp = LCPList(s=s)
+    entries = lcp.entries
     total = len(sl)
     for left, right, prefix in iter_sliding_blocks(sl, s):
         if budget is not None and budget.checkpoint("lcp", left, total):
             break
         if prefix:  # same-document block only
-            lcp.file(prefix, left, right)
+            entry = entries.get(prefix)
+            if entry is None:
+                entries[prefix] = LCPEntry(prefix, 1, left, right)
+            else:
+                entry.counter += 1
     return lcp

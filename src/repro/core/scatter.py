@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import repeat
 
 from repro.core.budget import DegradationReport, SearchBudget
 from repro.core.lce import LCEResult, discover_lce
@@ -51,7 +52,7 @@ from repro.core.ranking import rank_node
 from repro.core.results import GKSResponse, RankedNode, SearchProfile
 from repro.core.search import Ranker
 from repro.core.topk import _bound_key, _heap_key, distinct_keyword_count
-from repro.index.postings import MergedEntry
+from repro.index.postings import MergedList
 from repro.index.sharding import Shard, ShardedIndex
 from repro.obs.metrics import global_registry
 from repro.obs.stats import QueryStats
@@ -84,7 +85,7 @@ class _Candidate:
 class _ShardRun:
     """Everything the scatter phase produced for one shard."""
 
-    def __init__(self, shard: Shard, sl: list[MergedEntry],
+    def __init__(self, shard: Shard, sl: MergedList,
                  budget: SearchBudget | None) -> None:
         self.shard = shard
         self.sl = sl
@@ -158,17 +159,17 @@ def _admit_global_sl(runs: list[_ShardRun],
 
     The monolithic cap keeps the first ``max_sl`` entries of the global
     SL in document order; the same prefix is recovered here by k-way
-    merging the (sorted, disjoint) shard SLs, and each shard keeps its
-    part of that prefix.  Trips the parent budget exactly like
-    :meth:`SearchBudget.admit_sl`.  Returns the total kept SL size.
+    merging the Dewey columns of the (sorted, document-disjoint) shard
+    SLs, and each shard keeps its part of that prefix.  Trips the parent
+    budget exactly like :meth:`SearchBudget.admit_sl`.  Returns the
+    total kept SL size.
     """
     total = sum(len(run.sl) for run in runs)
     if budget is None or budget.max_sl is None or total <= budget.max_sl:
         return total
     kept: list[int] = [0] * len(runs)
-    tagged = [[(entry, position) for entry in run.sl]
-              for position, run in enumerate(runs)]
-    merged = heapq.merge(*tagged)
+    merged = heapq.merge(*(zip(run.sl.deweys, repeat(position))
+                           for position, run in enumerate(runs)))
     for _ in range(budget.max_sl):
         _, position = next(merged)
         kept[position] += 1

@@ -24,6 +24,7 @@ skipped tail never ranked.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 
 from repro.core.budget import SearchBudget
 from repro.core.lce import discover_lce
@@ -35,20 +36,24 @@ from repro.core.results import GKSResponse, RankedNode, SearchProfile
 from repro.core.search import Ranker
 from repro.errors import ConfigError
 from repro.index.builder import GKSIndex
-from repro.index.postings import subtree_range
 from repro.obs.stats import QueryStats
 from repro.obs.trace import NOOP_TRACER, NullTracer, Tracer
-from repro.xmltree.dewey import Dewey
+from repro.xmltree.dewey import Dewey, subtree_interval
 
 
 def distinct_keyword_count(index: GKSIndex, query: Query,
                            dewey: Dewey) -> int:
-    """Number of distinct query keywords in ``subtree(dewey)``."""
+    """Number of distinct query keywords in ``subtree(dewey)``.
+
+    A keyword occurs in the subtree when its first posting at or after
+    *dewey* still lies below the subtree interval's upper end.
+    """
+    lo_key, hi_key = subtree_interval(dewey)
     count = 0
     for keyword in query.keywords:
         postings = index.postings(keyword)
-        lo, hi = subtree_range(postings, dewey)
-        if lo != hi:
+        lo = bisect_left(postings, lo_key)
+        if lo < len(postings) and postings[lo] < hi_key:
             count += 1
     return count
 

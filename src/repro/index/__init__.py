@@ -8,7 +8,7 @@ from repro.index.categorize import (CategoryRecord, NodeCategory,
 from repro.index.hashtables import NodeHashes
 from repro.index.incremental import append_document, remove_last_document
 from repro.index.inverted import InvertedIndex
-from repro.index.postings import (MergedEntry, count_in_subtree,
+from repro.index.postings import (MergedList, count_in_subtree,
                                   merge_posting_lists, subtree_range)
 from repro.index.sharding import (ParallelIndexBuilder, Shard, ShardedIndex,
                                   build_sharded_index, partition_documents,
@@ -24,7 +24,7 @@ from repro.index.wal import (WALFrame, WALReplay, WriteAheadLog, replay_wal)
 
 __all__ = [
     "CategoryRecord", "GKSIndex", "IndexBuilder", "IndexStats",
-    "InvertedIndex", "MergedEntry", "NodeCategory", "NodeHashes",
+    "InvertedIndex", "MergedList", "NodeCategory", "NodeHashes",
     "ParallelIndexBuilder", "PendingDocument", "SegmentRecord",
     "SegmentStore", "Shard", "ShardedIndex", "StackedIndex",
     "StoreManifest", "StreamingCategorizer", "TextsRecord", "WALFrame",

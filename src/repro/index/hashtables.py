@@ -82,10 +82,10 @@ class NodeHashes:
 
     def nearest_entity(self, dewey: Dewey) -> Dewey | None:
         """Nearest entity ancestor-or-self of *dewey* (LCE candidate)."""
-        if dewey in self._entity:
-            return dewey
-        for ancestor in ancestors_of(dewey):
-            if ancestor in self._entity:
+        entity = self._entity
+        for length in range(len(dewey), 0, -1):
+            ancestor = dewey[:length]
+            if ancestor in entity:
                 return ancestor
         return None
 

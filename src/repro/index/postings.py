@@ -7,13 +7,16 @@ correspondence means plain tuple order.
 
 This module also provides the sorted-list primitives used by the search
 engine: binary search for the contiguous Dewey range of a subtree, and the
-k-way merge of several posting lists into the paper's list ``SL``.
+merge of several posting lists into the paper's list ``SL`` — kept as
+two parallel columns, the Dewey ids and their keyword indexes
+(:class:`MergedList`).
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from repro.xmltree.dewey import Dewey, subtree_interval
@@ -78,40 +81,45 @@ def intersect_postings(lists: list[PostingList]) -> PostingList:
     return result
 
 
-class MergedEntry(tuple):
-    """One entry of the merged list ``SL``: ``(dewey, keyword_index)``.
+@dataclass(slots=True)
+class MergedList:
+    """The merged list ``SL`` in columns (paper §4.1).
 
-    Implemented as a plain tuple subclass so entries sort by Dewey id first
-    (document order) and by keyword index second (deterministic ties when
-    one element contains several query keywords).
+    Entry *i* of ``SL`` is the pair ``(deweys[i], keywords[i])``: a
+    posting and the index of its query keyword.  Two parallel lists
+    instead of one object per entry: the search stages read a column at
+    a time, and the cyclic garbage collector tracks two lists rather
+    than one container per entry (the Dewey tuples are the index's own).
     """
 
-    __slots__ = ()
+    deweys: list[Dewey]
+    keywords: list[int]
 
-    def __new__(cls, dewey: Dewey, keyword: int) -> "MergedEntry":
-        return super().__new__(cls, (dewey, keyword))
+    def __len__(self) -> int:
+        return len(self.deweys)
 
-    @property
-    def dewey(self) -> Dewey:
-        return self[0]
-
-    @property
-    def keyword(self) -> int:
-        return self[1]
+    def __getitem__(self, window: slice) -> "MergedList":
+        """Both columns sliced alike: ``sl[:n]`` keeps the first *n*
+        entries (what a ``max_sl`` cap keeps).  Single entries are read
+        from the columns, ``sl.deweys[i]`` and ``sl.keywords[i]``."""
+        return MergedList(self.deweys[window], self.keywords[window])
 
 
-def merge_posting_lists(lists: Iterable[Sequence[Dewey]]) -> list[MergedEntry]:
-    """k-way merge of sorted posting lists into the sorted list ``SL``.
+def merge_posting_lists(lists: Iterable[Sequence[Dewey]]) -> MergedList:
+    """Merge sorted posting lists into the sorted list ``SL``.
 
-    Each input list *i* contributes entries tagged with keyword index *i*.
-    Runs in O(|SL|·log k) comparisons via a heap, matching the paper's
+    Each input list *i* contributes entries tagged with keyword index
+    *i*.  The lists are concatenated and stably sorted by Dewey id, so
+    entries with equal Dewey ids (one element holding several query
+    keywords) stay in keyword order.  Timsort finds the k sorted runs
+    and merges them in O(|SL|·log k) comparisons, matching the paper's
     O(d·|SL|·log n) bound (each Dewey comparison is O(d)).
     """
-    def tagged(posting_list: Sequence[Dewey], index: int):
-        for dewey in posting_list:
-            yield dewey, index
-
-    iterators = [tagged(posting_list, index)
-                 for index, posting_list in enumerate(lists)]
-    return [MergedEntry(dewey, index)
-            for dewey, index in heapq.merge(*iterators)]
+    deweys: list[Dewey] = []
+    keywords: list[int] = []
+    for index, posting_list in enumerate(lists):
+        deweys.extend(posting_list)
+        keywords.extend(repeat(index, len(deweys) - len(keywords)))
+    order = sorted(range(len(deweys)), key=deweys.__getitem__)
+    return MergedList([deweys[i] for i in order],
+                      [keywords[i] for i in order])

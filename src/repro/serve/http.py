@@ -30,7 +30,9 @@ Routes
     The metrics registry in Prometheus text exposition format.
 
 Error mapping: client errors (bad query, bad parameters, a query mode
-the serving engine was not configured for) are 400;
+the serving engine was not configured for, a ``Content-Length`` that is
+not a non-negative integer) are 400; a body over :data:`MAX_BODY_BYTES`
+is 413 (:class:`PayloadTooLarge`), refused before any of it is read;
 :class:`~repro.errors.Overloaded` is 429 with a ``Retry-After`` header
 when the broker can suggest one; :class:`~repro.errors.SearchTimeout`
 is 504; any other :class:`~repro.errors.GKSError` is 500.  Bodies are
@@ -55,6 +57,18 @@ from repro.errors import (ConfigError, GKSError, Overloaded, QueryError,
                           SearchTimeout, ValidationError, XMLSyntaxError)
 from repro.serve.core import ServerCore
 
+#: largest request body read; a longer declared ``Content-Length`` is 413
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+class PayloadTooLarge(ValidationError):
+    """A request declared a body longer than :data:`MAX_BODY_BYTES`."""
+
+
+def _client_status(exc: Exception) -> int:
+    """HTTP status of a request the handler refused before running it."""
+    return 413 if isinstance(exc, PayloadTooLarge) else 400
+
 
 class ServeHTTPServer(ThreadingHTTPServer):
     """A :class:`ThreadingHTTPServer` carrying the shared broker."""
@@ -64,6 +78,28 @@ class ServeHTTPServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], core: ServerCore) -> None:
         self.core = core
         super().__init__(address, GKSRequestHandler)
+
+
+def _body_length(header: str | None) -> int:
+    """The declared body length, checked before anything is read.
+
+    A negative length would make ``rfile.read`` wait for the client to
+    hang up, so it is refused like any other non-integer value.
+    """
+    if not header:
+        return 0
+    try:
+        length = int(header)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise ValidationError(
+            f"Content-Length must be a non-negative integer: {header!r}")
+    if length > MAX_BODY_BYTES:
+        raise PayloadTooLarge(
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit")
+    return length
 
 
 class GKSRequestHandler(BaseHTTPRequestHandler):
@@ -100,7 +136,7 @@ class GKSRequestHandler(BaseHTTPRequestHandler):
         split = urlsplit(self.path)
         params = {name: values[-1]
                   for name, values in parse_qs(split.query).items()}
-        length = int(self.headers.get("Content-Length") or 0)
+        length = _body_length(self.headers.get("Content-Length"))
         if length:
             raw = self.rfile.read(length)
             body = json.loads(raw.decode("utf-8"))
@@ -176,7 +212,8 @@ class GKSRequestHandler(BaseHTTPRequestHandler):
             if raw_options is not None:
                 options = SearchOptions.from_mapping(raw_options)
         except (ValueError, json.JSONDecodeError) as exc:
-            self._send_error_json(400, exc, headers=rid_header)
+            self._send_error_json(_client_status(exc), exc,
+                                  headers=rid_header)
             return
         try:
             response = self.core.search(raw, s, k=k, deadline_s=deadline_s,
@@ -213,7 +250,7 @@ class GKSRequestHandler(BaseHTTPRequestHandler):
                 raise ValidationError("missing required parameter 'text'")
             name = params.get("name")
         except (ValueError, json.JSONDecodeError) as exc:
-            self._send_error_json(400, exc)
+            self._send_error_json(_client_status(exc), exc)
             return
         try:
             info = self.core.add_document(text, name=name)

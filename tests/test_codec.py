@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -34,7 +35,8 @@ from repro.index.codec import (CODEC_NAMES, Codec, RawCodec, VarintDagCodec,
                                load_binary_index, resolve_codec,
                                write_binary_index)
 from repro.index.sharding import build_sharded_index
-from repro.index.storage import check_index, describe_layout, load_index
+from repro.index.storage import (check_index, describe_layout, load_index,
+                                 save_index)
 from repro.analysis.invariants import INVARIANT_NAMES, verify_store
 from repro.testing.faults import FakeClock, IndexCorruptor, TornWriter
 from repro.xmltree.node import build_tree
@@ -282,6 +284,23 @@ class TestEquivalence:
         for query in QUERIES:
             assert _signature(lazy.search_top_k(query, 3)) == \
                 _signature(eager.search_top_k(query, 3))
+
+
+class TestDeepNesting:
+    def test_deep_element_chain_saves_in_bounded_time(self, tmp_path):
+        # a 2,000-deep chain once took over 30 s to save: the prefix
+        # closure and the shared-subtree lookup both walked every depth
+        # of every node
+        depth = 2000
+        text = "<a>" * depth + "deep word" + "</a>" * depth
+        engine = GKSEngine.open(Texts([text]))
+        path = tmp_path / "chain.idx"
+        started = time.monotonic()
+        save_index(engine.index, path, codec="varint-dag")
+        assert time.monotonic() - started < 10.0
+        lazy = load_index(path)
+        for word in ("deep", "a"):
+            assert lazy.postings(word) == engine.index.postings(word)
 
 
 # ---------------------------------------------------------------------------

@@ -55,13 +55,12 @@ class TestPostingOps:
 
     def test_merge_tags_keyword_indexes(self):
         merged = merge_posting_lists([[(0, 1), (0, 5)], [(0, 3)]])
-        assert [(entry.dewey, entry.keyword) for entry in merged] == \
+        assert list(zip(merged.deweys, merged.keywords)) == \
             [((0, 1), 0), ((0, 3), 1), ((0, 5), 0)]
 
     def test_merge_result_is_sorted(self):
         merged = merge_posting_lists([[(0, 1)], [(0, 0), (1, 0)], []])
-        deweys = [entry.dewey for entry in merged]
-        assert deweys == sorted(deweys)
+        assert merged.deweys == sorted(merged.deweys)
 
     def test_intersect_postings(self):
         a = [(0, 1), (0, 2), (0, 5)]

@@ -1,13 +1,14 @@
 """Unit tests for the merged list + LCP sliding window (paper §4.1)."""
 
-from repro.core.lcp import LCPList, compute_lcp_list, sliding_blocks
+from repro.core.lcp import compute_lcp_list, sliding_blocks
 from repro.core.merge import merged_list
 from repro.core.query import Query
-from repro.index.postings import MergedEntry
+from repro.index.postings import MergedList
 
 
 def entries(*pairs):
-    return [MergedEntry(dewey, keyword) for dewey, keyword in pairs]
+    return MergedList([dewey for dewey, _ in pairs],
+                      [keyword for _, keyword in pairs])
 
 
 class TestSlidingBlocks:
@@ -15,7 +16,7 @@ class TestSlidingBlocks:
         sl = entries(((0, 0), 0), ((0, 1), 0), ((0, 2), 1), ((0, 3), 0))
         blocks = sliding_blocks(sl, 2)
         for left, right, _ in blocks:
-            keywords = {sl[i].keyword for i in range(left, right + 1)}
+            keywords = {sl.keywords[i] for i in range(left, right + 1)}
             assert len(keywords) >= 2
 
     def test_blocks_are_minimal_windows(self):
@@ -69,8 +70,7 @@ class TestLCPList:
         assert lcp.deweys()[0] == (0, 0)
 
     def test_contains_and_len(self):
-        lcp = LCPList(s=2)
-        lcp.file((0, 1), 0, 1)
+        lcp = compute_lcp_list(entries(((0, 1, 0), 0), ((0, 1, 1), 1)), 2)
         assert (0, 1) in lcp and (0, 2) not in lcp
         assert len(lcp) == 1
 
@@ -107,12 +107,10 @@ class TestMergedList:
     def test_merged_list_uses_query_keyword_order(self, figure1_index):
         query = Query.of(["a", "b"])
         sl = merged_list(figure1_index, query)
-        deweys = [entry.dewey for entry in sl]
-        assert deweys == sorted(deweys)
-        keywords = {entry.keyword for entry in sl}
-        assert keywords == {0, 1}
+        assert sl.deweys == sorted(sl.deweys)
+        assert set(sl.keywords) == {0, 1}
 
     def test_absent_keyword_contributes_nothing(self, figure1_index):
         query = Query.of(["a", "zzz"])
         sl = merged_list(figure1_index, query)
-        assert all(entry.keyword == 0 for entry in sl)
+        assert all(keyword == 0 for keyword in sl.keywords)

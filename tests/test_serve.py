@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import random
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -27,6 +29,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve import (LoadGenerator, OpenLoopSchedule, ServeConfig,
                          ServeHTTPServer, ServerCore, percentile,
                          serve_http)
+from repro.serve.http import MAX_BODY_BYTES
 from repro.testing import BurstyArrivals, FakeClock, SlowEngine
 
 pytestmark = pytest.mark.serve
@@ -548,6 +551,20 @@ def _get(url: str):
         return response.status, json.load(response)
 
 
+def _raw_post(base: str, route: str, length: str) -> tuple[int, dict]:
+    """POST with a hand-written Content-Length and no body; the reply
+    must come back within one second."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=1.0) as sock:
+        sock.sendall(f"POST {route} HTTP/1.1\r\nHost: {host}\r\n"
+                     f"Content-Length: {length}\r\n\r\n".encode())
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 class TestHTTP:
     def test_search_matches_direct_engine(self, http_server):
         base, core = http_server
@@ -592,6 +609,29 @@ class TestHTTP:
         with pytest.raises(urllib.error.HTTPError) as caught:
             _get(f"{base}/nope")
         assert caught.value.code == 404
+
+    @pytest.mark.parametrize("route", ["/search", "/documents"])
+    def test_negative_content_length_is_400_without_reading(
+            self, http_server, route):
+        base, _ = http_server
+        started = time.monotonic()
+        status, payload = _raw_post(base, route, "-1")
+        assert time.monotonic() - started < 1.0
+        assert status == 400
+        assert payload["type"] == "ValidationError"
+
+    def test_non_integer_content_length_is_400(self, http_server):
+        base, _ = http_server
+        status, payload = _raw_post(base, "/search", "ten")
+        assert status == 400
+        assert "Content-Length" in payload["error"]
+
+    def test_body_over_the_cap_is_413_before_reading(self, http_server):
+        base, _ = http_server
+        status, payload = _raw_post(base, "/search",
+                                    str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert payload["type"] == "PayloadTooLarge"
 
     def test_overload_maps_to_429(self):
         engine = _engine()
