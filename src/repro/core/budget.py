@@ -22,11 +22,14 @@ The clock is injectable so deadline tests never sleep (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ConfigError
 from repro.obs.metrics import global_registry
 from repro.obs.trace import DEFAULT_CLOCK
+
+if TYPE_CHECKING:
+    from repro.index.postings import MergedList
 
 
 @dataclass(frozen=True)
@@ -234,11 +237,12 @@ class SearchBudget:
             return True
         return False
 
-    def admit_sl(self, sl: list) -> list:
-        """Apply the ``max_sl`` cap to a freshly merged list.
+    def admit_sl(self, sl: MergedList) -> MergedList:
+        """Apply the ``max_sl`` cap to a freshly merged ``SL``.
 
-        Returns the (possibly truncated) list; trips the budget when it
-        had to cut.
+        Returns ``SL`` or, when it had to cut, its first ``max_sl``
+        entries (``sl[:max_sl]`` slices the Dewey and keyword columns
+        alike) and trips the budget.
         """
         if self.max_sl is not None and len(sl) > self.max_sl:
             self._trip("merge", "max_sl", self.max_sl, len(sl))
